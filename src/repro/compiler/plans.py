@@ -538,6 +538,11 @@ class CostModel:
         if table is not None:
             estimated = table.range_selectivity(pos, op, value)
             if estimated is not None:
+                # Never price a comparison on a non-empty table below one
+                # row (as key_selectivity floors equalities): a zero makes
+                # every cross product after it look free.
+                if table.row_count > 0:
+                    estimated = max(estimated, 1.0 / table.row_count)
                 return estimated
         return fallback
 

@@ -4,8 +4,10 @@ The paper's runtime level (section 4) generates *physical access paths*
 — materialized partitions of a relation keyed by the constant values a
 query restricts on.  :class:`HashIndex` is the underlying mechanism: a
 dict from key projection to the set of matching rows.  Indexes are built
-lazily and cached per (relation version, attribute positions); any
-mutation of the relation invalidates the cache.
+lazily and cached per (relation version, attribute positions); a write
+carries every cached index forward to the new version in time
+proportional to its delta (:meth:`HashIndex.carried`), so a relation
+pays a full build per index once, not once per mutation.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ class HashIndex:
             if len(bucket) > heaviest:
                 heaviest = len(bucket)
         self.buckets = buckets
-        # Buckets are immutable after build (the cache rebuilds on any
-        # relation version change), so the planner's skew probe is O(1).
+        # Buckets are immutable after build (a write makes a new index,
+        # see carried), so the planner's skew probe is O(1).
         self._total_rows = total
         self._max_bucket_rows = heaviest
         self._scalar: dict | None = None
@@ -95,6 +97,57 @@ class HashIndex:
         if self._total_rows <= 0:
             return 0.0
         return self._max_bucket_rows / self._total_rows
+
+    # -- copy-on-write maintenance -------------------------------------------
+
+    def carried(self, inserted: Iterable[tuple], deleted: Iterable[tuple]) -> "HashIndex":
+        """A new index over this one's rows plus ``inserted`` minus ``deleted``.
+
+        ``inserted`` rows must be absent and ``deleted`` rows present (a
+        write's genuine delta).  ``self`` is never touched — a reader may
+        still be probing it — so the bucket dict (and the scalar view, if
+        built) is a C-level copy that shares every untouched bucket list,
+        and only the buckets the delta touches get fresh lists.  Costs
+        O(distinct keys) at C speed plus O(delta + touched buckets).
+        """
+        positions = self.positions
+        touched: dict[tuple, tuple[set, list]] = {}
+        for row in deleted:
+            touched.setdefault(tuple(row[i] for i in positions), (set(), []))[0].add(row)
+        for row in inserted:
+            touched.setdefault(tuple(row[i] for i in positions), (set(), []))[1].append(row)
+        buckets = self.buckets.copy()
+        scalar = None
+        if self._scalar is not None and len(positions) == 1:
+            scalar = self._scalar.copy()
+        total = self._total_rows
+        heaviest = self._max_bucket_rows
+        rescan = False
+        for key, (gone, added) in touched.items():
+            old = buckets.get(key, _EMPTY)
+            bucket = [row for row in old if row not in gone] if gone else list(old)
+            bucket += added
+            total += len(bucket) - len(old)
+            if len(bucket) < len(old) == self._max_bucket_rows:
+                rescan = True
+            heaviest = max(heaviest, len(bucket))
+            if bucket:
+                buckets[key] = bucket
+                if scalar is not None:
+                    scalar[key[0]] = bucket
+            elif old:
+                del buckets[key]
+                if scalar is not None:
+                    del scalar[key[0]]
+        if rescan:
+            heaviest = max(map(len, buckets.values()), default=0)
+        index = HashIndex.__new__(HashIndex)
+        index.positions = positions
+        index.buckets = buckets
+        index._total_rows = total
+        index._max_bucket_rows = heaviest
+        index._scalar = scalar
+        return index
 
 
 _EMPTY: list[tuple] = []
@@ -225,12 +278,17 @@ class PartitionCache:
 
 
 class IndexCache:
-    """Per-relation cache of hash indexes, invalidated by version stamps.
+    """Per-relation cache of hash indexes, stamped with a relation version.
 
     Like :class:`PartitionCache`, the whole generation is one
     ``(version, dict)`` tuple replaced atomically, so concurrent readers
     racing a writer's version bump can never install an index built over
-    one version's rows into another version's cache.
+    one version's rows into another version's cache.  A writer moves the
+    cache with :meth:`advance` *before* it bumps the relation's version:
+    every index of the old generation is carried forward by the write's
+    delta into the new one, so a reader that sees the new version finds
+    its indexes ready, and a reader still holding the old stamp builds a
+    private index rather than clobbering the newer generation.
     """
 
     __slots__ = ("_entry",)
@@ -247,6 +305,8 @@ class IndexCache:
         """Return (building if necessary) the index for ``positions``."""
         entry = self._entry
         if entry[0] != version:
+            if entry[0] > version:
+                return HashIndex(positions, rows)
             entry = (version, {})
             self._entry = entry
         indexes = entry[1]
@@ -266,3 +326,20 @@ class IndexCache:
         if entry[0] != version:
             return None
         return entry[1].get(positions)
+
+    def advance(self, version: int, new_version: int, delta=None) -> None:
+        """Install the generation for ``new_version``.
+
+        ``delta`` is the write's ``(inserted, deleted)`` rows: when the
+        cache holds ``version`` every index is carried forward by it
+        (see :meth:`HashIndex.carried`); without a delta, or when the
+        cache is already stale, the new generation starts empty.
+        """
+        entry = self._entry
+        carried: dict[tuple[int, ...], HashIndex] = {}
+        if delta is not None and entry[0] == version:
+            # A C-level copy: a reader may add an index to the old
+            # generation while this write carries it.
+            for positions, index in entry[1].copy().items():
+                carried[positions] = index.carried(*delta)
+        self._entry = (new_version, carried)

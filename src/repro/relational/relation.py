@@ -230,16 +230,21 @@ class Relation:
 
     # -- checked mutation ----------------------------------------------------
 
-    def _commit(self, new_rows: set[tuple]) -> None:
+    def _commit(self, new_rows: set[tuple], delta=None) -> None:
         """Swap in a new committed row set (copy-on-write commit point).
 
         The set reference is replaced *before* the version bump: a racing
         reader can at worst pair new rows with the old stamp — which only
         makes a cache rebuild on the next probe — never the reverse
-        (a stale list vouched for by a fresh version).
+        (a stale list vouched for by a fresh version).  The index cache's
+        new generation — carried forward by ``delta``, the write's
+        ``(inserted, deleted)`` rows — is installed before the bump too,
+        so a reader that sees the new version finds its indexes built.
         """
+        version = self._version
         self._rows = new_rows
-        self._version += 1
+        self._index_cache.advance(version, version + 1, delta)
+        self._version = version + 1
 
     def _delta_guard(self, inserted, deleted):
         """(lock-or-null context, sink-or-None) for one mutation's commit.
@@ -286,7 +291,7 @@ class Relation:
                 stats = TableStats(len(self.rtype.element.attribute_names))
                 stats.add_rows_batch(new_rows)
                 self._stats = stats
-                self._commit(new_rows)
+                self._commit(new_rows, (inserted, deleted))
                 if sink is not None:
                     sink.emit(self, inserted, deleted)
 
@@ -296,9 +301,10 @@ class Relation:
         One type sweep, one key check, and one *batched* statistics
         absorption for the whole argument (distinct multisets,
         heavy-hitter counts, and histograms are updated once per call,
-        not once per row).  The new value is built as a copy and swapped
-        in whole, so concurrent readers keep iterating the previous
-        committed set untouched.
+        not once per row).  The key check and the cached indexes cost
+        O(delta) (see :meth:`_keys_fresh` and :meth:`_commit`).  The new
+        value is built as a copy and swapped in whole, so concurrent
+        readers keep iterating the previous committed set untouched.
         """
         raw = [self._coerce(r) for r in rows]
         element = self.rtype.element
@@ -311,7 +317,8 @@ class Relation:
         self._materialize()
         with self._write_lock:
             old_rows = self._rows
-            self.rtype.check_key(list(old_rows) + raw)
+            if not self._keys_fresh(old_rows, raw):
+                self.rtype.check_key(list(old_rows) + raw)
             new_rows = set(old_rows)
             new_rows.update(raw)
             fresh: list[tuple] = []
@@ -327,7 +334,7 @@ class Relation:
             old_version = self._version
             guard, sink = self._delta_guard(fresh, ())
             with guard:
-                self._commit(new_rows)
+                self._commit(new_rows, (fresh, ()))
                 # Incremental maintenance of the cached row list and encoded
                 # vectors, on the same mutation path as the statistics: when
                 # both caches describe the pre-insert version, append the
@@ -364,7 +371,7 @@ class Relation:
             with guard:
                 if self._stats is not None:
                     self._stats.remove_rows(removed)
-                self._commit(old_rows - raw)
+                self._commit(old_rows - raw, ((), removed))
                 if sink is not None:
                     sink.emit(self, (), list(removed))
 
@@ -374,10 +381,37 @@ class Relation:
             old_rows = self._rows
             guard, sink = self._delta_guard((), old_rows)
             with guard:
-                self._stats = None
+                self._stats = TableStats(len(self.rtype.element.attribute_names))
                 self._commit(set())
                 if sink is not None:
                     sink.emit(self, (), list(old_rows))
+
+    def _keys_fresh(self, old_rows: set[tuple], raw: list[tuple]) -> bool:
+        """True when inserting ``raw`` provably keeps the key dependency.
+
+        O(len(raw)) for a single-attribute key: the statistics keep the
+        key column's multiset exactly, so a value no committed row
+        carries is fresh, a committed row re-inserted is a no-op, and a
+        dict catches two rows of the batch sharing a key.  False means a
+        suspected conflict, a composite key, or no statistics: the
+        caller then runs the full check, which raises with the culprits.
+        """
+        key = self.rtype.key_positions
+        if not key:
+            return True
+        stats = self._stats
+        if len(key) != 1 or stats is None:
+            return False
+        pos = key[0]
+        counts = stats.columns[pos].counts
+        batch: dict = {}
+        for row in raw:
+            value = row[pos]
+            if batch.setdefault(value, row) != row:
+                return False
+            if counts.get(value) and row not in old_rows:
+                return False
+        return True
 
     @staticmethod
     def _coerce(item: object) -> tuple:
@@ -480,11 +514,21 @@ class Relation:
         :meth:`insert`/:meth:`delete`); a wholesale :meth:`assign`
         installs fresh statistics computed during the assignment itself.
         """
-        if self._stats is None:
-            self._stats = TableStats.from_rows(
-                self._materialize(), len(self.rtype.element.attribute_names)
-            )
-        return self._stats
+        stats = self._stats
+        if stats is None:
+            rows = self._materialize()
+            stats = TableStats.from_rows(rows, len(self.rtype.element.attribute_names))
+            # Installed only under the write lock and only while the rows
+            # just counted are still committed: inserts trust these counts
+            # for the key check.  A held lock (a writer mid-commit, maybe
+            # this thread) leaves the result uncached.
+            if self._write_lock.acquire(blocking=False):
+                try:
+                    if self._stats is None and self._rows is rows:
+                        self._stats = stats
+                finally:
+                    self._write_lock.release()
+        return stats
 
     # -- storage pushdown ----------------------------------------------------
 

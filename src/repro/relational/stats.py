@@ -383,7 +383,10 @@ class TableStats:
         Priced from the column's equi-depth histogram; ``None`` when the
         column has no histogram (unorderable domain) or the operator is
         not a range comparison — callers fall back to their own default
-        constant in that case.  Empty columns match nothing.
+        constant in that case.  Empty columns match nothing.  An
+        inclusive bound matches at least the constant's own rows: the
+        histogram interpolates a column's top (or bottom) value to zero
+        width, so ``rating >= max(rating)`` would otherwise price at 0.
         """
         if not (0 <= pos < self.arity):
             return None
@@ -398,14 +401,19 @@ class TableStats:
         if op == "<":
             return histogram.fraction_below(value, inclusive=False)
         if op == "<=":
-            return histogram.fraction_below(value, inclusive=True)
+            below = histogram.fraction_below(value, inclusive=True)
+            return None if below is None else max(below, self._mass(column, value))
         if op == ">":
             below = histogram.fraction_below(value, inclusive=True)
             return None if below is None else max(0.0, 1.0 - below)
         if op == ">=":
             below = histogram.fraction_below(value, inclusive=False)
-            return None if below is None else max(0.0, 1.0 - below)
+            return None if below is None else max(1.0 - below, self._mass(column, value))
         return None
+
+    def _mass(self, column: ColumnStats, value: object) -> float:
+        """Exact fraction of rows whose column equals ``value``."""
+        return column.counts.get(value, 0) / max(1, self.row_count)
 
     def key_selectivity(self, positions: Iterable[int]) -> float:
         """Combined selectivity of a conjunctive equality key.

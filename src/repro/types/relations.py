@@ -42,7 +42,8 @@ class RelationType(Type):
         self.name = name
         self.element = element
         self.key = key
-        self._key_indexes = tuple(element.index_of(a) for a in key)
+        #: Positions of the key attributes in the element record.
+        self.key_positions = tuple(element.index_of(a) for a in key)
 
     # -- membership ----------------------------------------------------
 
@@ -65,7 +66,7 @@ class RelationType(Type):
 
     def key_of(self, row: tuple) -> tuple:
         """Project a raw value tuple onto the key attributes."""
-        return tuple(row[i] for i in self._key_indexes)
+        return tuple(row[i] for i in self.key_positions)
 
     def check_key(self, rows: Iterable[tuple]) -> None:
         """Enforce the key functional dependency over ``rows``.

@@ -424,3 +424,52 @@ class TestExplainRegression:
         cost, rows = estimate_branch(db, q.branches[0])
         assert 0 < cost < float("inf")
         assert rows > 0
+
+
+class TestEdgeRangeEstimates:
+    """A range comparison on a column's edge value is priced at the
+    constant's own rows, never at zero (which made every cross product
+    ordered after it look free)."""
+
+    def test_inclusive_bound_on_the_top_value_keeps_its_mass(self):
+        stats = TableStats.from_rows([(i % 10,) for i in range(200)], 1)
+        assert stats.range_selectivity(0, ">=", 9) == pytest.approx(0.1)
+        assert stats.range_selectivity(0, "<=", 0) == pytest.approx(0.1)
+
+    def test_top_rating_query_plans_no_cross_product(self):
+        from repro.dbpl import Session
+
+        rng = random.Random(0)
+        session = Session()
+        session.execute(
+            "TYPE partrec = RECORD pid, kind, supp: STRING; weight: INTEGER END;"
+            "     partrel = RELATION pid OF partrec;"
+            "     supprec = RECORD sid, city: STRING; rating: INTEGER END;"
+            "     supprel = RELATION sid OF supprec;"
+            "VAR Part: partrel; Supp: supprel;"
+        )
+        session.insert(
+            "Supp", [(f"s{i:04d}", f"c{rng.randrange(30)}", i % 10) for i in range(200)]
+        )
+        session.insert(
+            "Part",
+            [
+                (f"p{i:05d}", f"k{rng.randrange(12)}", f"s{rng.randrange(200):04d}",
+                 rng.randrange(1000))
+                for i in range(200)
+            ],
+        )
+        prepared = session.prepare(
+            "{<v3.sid> OF EACH v0 IN Supp, EACH v1 IN Part, EACH v2 IN Supp, "
+            "EACH v3 IN Supp: v0.sid = v1.supp AND v1.supp = v2.sid "
+            "AND v1.supp = v3.sid AND v3.rating >= 9}"
+        )
+        (branch,) = prepared.plan.plan.branches
+        order = [step.source.name for step in branch.steps]
+        ahead_of_part = branch.steps[1 : order.index("Part")]
+        assert all(step.key_positions for step in ahead_of_part), prepared.explain()
+        assert all(step.est_out_rows > 0 for step in branch.steps)
+        assert prepared.execute() == {
+            (sid,) for (sid, _, rating) in session.relation("Supp").raw()
+            if rating >= 9 and any(p[2] == sid for p in session.relation("Part").raw())
+        }
