@@ -247,7 +247,7 @@ class HashJoin(Operator):
         *object* (not its id — a recycled id after garbage collection
         must never inherit another operator's filter), holding a strong
         reference to the bucket dict it was filtered from and checked by
-        identity — so an index rebuilt after a relation mutation (or a
+        identity — so the new index a relation mutation installs (or a
         fresh per-iteration delta index) starts a fresh memo, while
         repeated executions against the same index pay the filter once
         per key.

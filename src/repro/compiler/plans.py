@@ -135,7 +135,7 @@ class ExecutionContext:
         #: Keyed by the HashJoin operator object itself (a recycled id
         #: must never inherit another operator's filter); values are
         #: (buckets, memo) pairs with the bucket dict held and
-        #: identity-checked so a rebuilt index restarts the memo.
+        #: identity-checked so a new or rebuilt index restarts the memo.
         self.pushed_buckets: dict[object, tuple[dict, dict]] = {}
         #: Per-source (rows, index_provider) overrides, keyed by the
         #: Source object's id — the sharded backend materializes one

@@ -196,7 +196,7 @@ class Relation:
 
     @property
     def version(self) -> int:
-        """Monotone stamp, bumped on every mutation (index invalidation)."""
+        """Monotone stamp, bumped on every mutation (keys per-version caches)."""
         return self._version
 
     def __iter__(self) -> Iterator[Row]:
