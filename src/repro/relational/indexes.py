@@ -284,11 +284,12 @@ class IndexCache:
     ``(version, dict)`` tuple replaced atomically, so concurrent readers
     racing a writer's version bump can never install an index built over
     one version's rows into another version's cache.  A writer moves the
-    cache with :meth:`advance` *before* it bumps the relation's version:
-    every index of the old generation is carried forward by the write's
-    delta into the new one, so a reader that sees the new version finds
-    its indexes ready, and a reader still holding the old stamp builds a
-    private index rather than clobbering the newer generation.
+    cache with :meth:`advance` *before* it swaps in the new rows and bumps
+    the relation's version: every index of the old generation is carried
+    forward by the write's delta into the new one, so a reader that sees
+    the new version finds its indexes ready, and a reader still holding
+    the old stamp builds a private index rather than clobbering the newer
+    generation.
     """
 
     __slots__ = ("_entry",)
@@ -327,19 +328,20 @@ class IndexCache:
             return None
         return entry[1].get(positions)
 
-    def advance(self, version: int, new_version: int, delta=None) -> None:
-        """Install the generation for ``new_version``.
+    def advance(self, version: int, delta=None) -> None:
+        """Install the generation for ``version + 1``.
 
         ``delta`` is the write's ``(inserted, deleted)`` rows: when the
         cache holds ``version`` every index is carried forward by it
         (see :meth:`HashIndex.carried`); without a delta, or when the
-        cache is already stale, the new generation starts empty.
+        cache is already stale, the new generation starts empty.  The
+        writer calls this before it swaps in the new rows, so every
+        index it carries was built over the old ones; a reader adding
+        to the old generation after the copy below is simply dropped.
         """
         entry = self._entry
         carried: dict[tuple[int, ...], HashIndex] = {}
         if delta is not None and entry[0] == version:
-            # A C-level copy: a reader may add an index to the old
-            # generation while this write carries it.
             for positions, index in entry[1].copy().items():
                 carried[positions] = index.carried(*delta)
-        self._entry = (new_version, carried)
+        self._entry = (version + 1, carried)

@@ -70,7 +70,9 @@ class Relation:
         self._version = 0
         self._index_cache = IndexCache()
         self._partition_cache = PartitionCache()
-        self._stats: TableStats | None = None
+        #: Kept exact by every write; None only on a snapshot copy or a
+        #: store without statistics, until :meth:`stats` builds it.
+        self._stats: TableStats | None = TableStats(len(rtype.element.attribute_names))
         #: (version, rows-as-list), one tuple swapped atomically so the
         #: stamp can never be paired with another version's list.
         self._raw_entry: tuple[int, list[tuple]] = _NO_RAW
@@ -233,17 +235,19 @@ class Relation:
     def _commit(self, new_rows: set[tuple], delta=None) -> None:
         """Swap in a new committed row set (copy-on-write commit point).
 
-        The set reference is replaced *before* the version bump: a racing
-        reader can at worst pair new rows with the old stamp — which only
-        makes a cache rebuild on the next probe — never the reverse
-        (a stale list vouched for by a fresh version).  The index cache's
-        new generation — carried forward by ``delta``, the write's
-        ``(inserted, deleted)`` rows — is installed before the bump too,
-        so a reader that sees the new version finds its indexes built.
+        The index cache moves first: its new generation, carried forward
+        by ``delta`` (the write's ``(inserted, deleted)`` rows), is built
+        from indexes over the old rows only and installed before the row
+        swap, so a reader that sees the new version finds its indexes
+        built, and a reader still on the old stamp builds a private index
+        instead of adding to either generation.  The set reference is
+        replaced *before* the version bump: a racing reader can at worst
+        pair new rows with the old stamp, never the reverse (a stale list
+        vouched for by a fresh version).
         """
         version = self._version
+        self._index_cache.advance(version, delta)
         self._rows = new_rows
-        self._index_cache.advance(version, version + 1, delta)
         self._version = version + 1
 
     def _delta_guard(self, inserted, deleted):
@@ -521,7 +525,9 @@ class Relation:
             # Installed only under the write lock and only while the rows
             # just counted are still committed: inserts trust these counts
             # for the key check.  A held lock (a writer mid-commit, maybe
-            # this thread) leaves the result uncached.
+            # this thread) leaves the result uncached, so a caller inside
+            # a commit rebuilds it per call; only snapshot copies and
+            # stores without statistics ever reach this path.
             if self._write_lock.acquire(blocking=False):
                 try:
                     if self._stats is None and self._rows is rows:
@@ -574,6 +580,7 @@ class Relation:
         """An independent copy (used by the paper's REPEAT-loop programs)."""
         copy = Relation(name or self.name, self.rtype)
         copy._rows = set(self._materialize())
+        copy._stats = None
         copy._version = 1
         return copy
 

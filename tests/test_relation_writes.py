@@ -56,6 +56,24 @@ def item_rows(n: int) -> list[tuple]:
     return [(f"i{i:04d}", f"g{i % 7}", i % 5) for i in range(n)]
 
 
+class RacingRelation(Relation):
+    """Runs ``on_swap`` right after each commit swaps in its new rows,
+    before the version moves: the window a concurrent reader can hit."""
+
+    __slots__ = ("on_swap",)
+
+    @property
+    def _rows(self):
+        return Relation._rows.__get__(self)
+
+    @_rows.setter
+    def _rows(self, rows):
+        Relation._rows.__set__(self, rows)
+        hook = getattr(self, "on_swap", None)
+        if hook is not None:
+            hook()
+
+
 def warm(rel: Relation) -> tuple[HashIndex, HashIndex]:
     by_grp = rel.index_on(("grp",))
     by_grp.scalar_buckets()
@@ -144,6 +162,34 @@ class TestCarriedIndexes:
         assert rel.peek_index((1,)) is not None
         assert len(private) == 5
 
+    @pytest.mark.parametrize("write", ["insert", "delete", "assign"])
+    def test_a_reader_racing_the_commit_leaves_the_carried_index_exact(self, write):
+        # A reader runs at the worst point of the commit: the new rows
+        # are in place but the version still carries the old stamp.  It
+        # builds indexes the cache does not hold yet, over the new rows,
+        # stamped with the old version; none of them may be carried
+        # forward as if it described the old rows.
+        rel = RacingRelation("Items", ITEMS, item_rows(30))
+        warm(rel)
+        raced = []
+        rel.on_swap = lambda: raced.extend(
+            (rel.version, rel.index_on(attrs)) for attrs in (("qty",), ("grp", "name"))
+        )
+        if write == "insert":
+            rel.insert([("new", "g0", 1), ("newer", "g1", 1)])
+        elif write == "delete":
+            rel.delete([("i0001", "g1", 1), ("i0008", "g1", 3)])
+        else:
+            rel.assign(item_rows(20) + [("x", "g2", 1)])
+        rel.on_swap = None
+        assert [version for version, _ in raced] == [rel.version - 1] * 2
+        for positions in ((1,), (1, 2), (2,), (1, 0)):
+            index = rel._index_cache.get(rel.version, positions, rel.raw())
+            assert_matches_fresh(rel, index)
+        rel.insert([("later", "g1", 1)])
+        for positions in ((1,), (2,), (1, 0)):
+            assert_matches_fresh(rel, rel.peek_index(positions))
+
     def test_clear_starts_an_empty_generation(self):
         rel = Relation("Items", ITEMS, item_rows(10))
         warm(rel)
@@ -194,10 +240,26 @@ class TestKeyChecks:
         rel.insert([("i0003", "g0", 1), ("i0004", "g0", 1)])
         assert len(rel) == 2
 
-    def test_relation_without_statistics(self):
+    def test_declared_empty_relation_keeps_exact_statistics(self, monkeypatch):
         rel = Relation("Items", ITEMS)
-        rel.insert(item_rows(5))
+        calls = Counter()
+        check = RelationType.check_key
+
+        def counted_check(self, rows):
+            calls["check_key"] += 1
+            check(self, rows)
+
+        monkeypatch.setattr(RelationType, "check_key", counted_check)
+        for row in item_rows(5):
+            rel.insert([row])
+        assert calls == Counter()
+        assert rel._stats.row_count == 5
+        self.assert_rejected(rel, [("i0001", "g0", 0)])
+
+    def test_relation_without_statistics(self):
+        rel = Relation("Items", ITEMS, item_rows(5)).snapshot()
         assert rel._stats is None
+        rel.insert([("i0009", "g2", 4)])
         self.assert_rejected(rel, [("i0001", "g0", 0)])
 
     def test_composite_key(self):
@@ -251,8 +313,7 @@ def test_small_write_builds_no_index_and_runs_no_full_key_check(monkeypatch):
 
 
 def test_statistics_built_while_a_writer_holds_the_lock_stay_uncached():
-    rel = Relation("Items", ITEMS)
-    rel.insert(item_rows(10))
+    rel = Relation("Items", ITEMS, item_rows(10)).snapshot()
     with rel._write_lock:
         assert rel.stats().row_count == 10
     assert rel._stats is None
