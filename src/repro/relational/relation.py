@@ -325,12 +325,15 @@ class Relation:
                 self.rtype.check_key(list(old_rows) + raw)
             new_rows = set(old_rows)
             new_rows.update(raw)
-            fresh: list[tuple] = []
-            seen: set[tuple] = set()
-            for row in raw:
-                if row not in old_rows and row not in seen:
-                    seen.add(row)
-                    fresh.append(row)
+            fresh = raw
+            if len(new_rows) - len(old_rows) != len(raw):
+                # Some rows were committed already or repeat in the batch.
+                fresh = []
+                seen: set[tuple] = set()
+                for row in raw:
+                    if row not in old_rows and row not in seen:
+                        seen.add(row)
+                        fresh.append(row)
             if self._stats is not None:
                 self._stats.add_rows_batch(fresh)
             raw_entry = self._raw_entry

@@ -265,7 +265,12 @@ class ColumnStats:
         if not fresh:
             return
         counts = self.counts
-        counts.update(fresh)
+        if counts:
+            counts.update(fresh)
+        else:
+            # A bulk load into an empty column: adopt the batch's counts
+            # rather than hold two copies of a possibly all-distinct multiset.
+            self.counts = counts = fresh
         if not self._max_dirty:
             for value in fresh:
                 if counts[value] > self._max_count:
